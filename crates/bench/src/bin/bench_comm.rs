@@ -38,7 +38,7 @@
 //! `wire_*` the per-op measured channel traffic summed over ranks (0 for
 //! rendezvous, which has no wire).
 
-use pp_bench::apply_threads_flag;
+use pp_bench::parse_bench_args;
 use pp_comm::{Backend, Collectives, CostCounters, CostModel, RankCtx, Runtime};
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -166,35 +166,8 @@ fn assert_parity(op: &'static str, p: usize, words: usize) {
 }
 
 fn main() {
-    let mut quick = false;
-    let mut out_path = String::from("BENCH_comm.json");
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--quick" => quick = true,
-            "--out" => {
-                i += 1;
-                match args.get(i) {
-                    Some(p) => out_path = p.clone(),
-                    None => {
-                        eprintln!("error: --out expects a path");
-                        std::process::exit(2);
-                    }
-                }
-            }
-            // Consumed by apply_threads_flag below.
-            "--threads" => i += 1,
-            other => {
-                eprintln!(
-                    "error: unknown flag {other} (bench_comm [--quick] [--out PATH] [--threads T])"
-                );
-                std::process::exit(2);
-            }
-        }
-        i += 1;
-    }
-    let threads = apply_threads_flag();
+    let args = parse_bench_args("bench_comm", "BENCH_comm.json", "", |_, _| Ok(false));
+    let (quick, out_path, threads) = (args.quick, args.out, args.threads);
     let (world_sizes, word_sizes, iters): (&[usize], &[usize], usize) = if quick {
         (&[2, 4], &[64, 1024], 20)
     } else {

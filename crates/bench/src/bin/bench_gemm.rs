@@ -22,7 +22,7 @@
 //! speedup}` — `*_ns` are min-over-samples nanoseconds per call,
 //! `*_mflops` the implied 2·m·n·k rate, `speedup` = `ref_ns / packed_ns`.
 
-use pp_bench::apply_threads_flag;
+use pp_bench::parse_bench_args;
 use pp_tensor::gemm::{gemm_flops, gemm_slice, gemm_slice_ref, Trans};
 use pp_tensor::rng::{seeded, uniform_matrix};
 use pp_tensor::Matrix;
@@ -136,35 +136,8 @@ fn trans_tag(t: Trans) -> &'static str {
 }
 
 fn main() {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut quick = false;
-    let mut out_path = String::from("BENCH_gemm.json");
-    let mut i = 0;
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--quick" => quick = true,
-            "--out" => {
-                i += 1;
-                match argv.get(i) {
-                    Some(p) => out_path = p.clone(),
-                    None => {
-                        eprintln!("error: --out expects a path");
-                        std::process::exit(2);
-                    }
-                }
-            }
-            // Consumed by apply_threads_flag below.
-            "--threads" => i += 1,
-            other => {
-                eprintln!(
-                    "error: unknown flag {other} (bench_gemm [--quick] [--out PATH] [--threads T])"
-                );
-                std::process::exit(2);
-            }
-        }
-        i += 1;
-    }
-    let threads = apply_threads_flag();
+    let args = parse_bench_args("bench_gemm", "BENCH_gemm.json", "", |_, _| Ok(false));
+    let (quick, out_path, threads) = (args.quick, args.out, args.threads);
     let (samples, budget) = if quick { (3, 0.02) } else { (5, 0.1) };
 
     println!(

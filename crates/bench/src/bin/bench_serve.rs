@@ -37,7 +37,7 @@
 //! batch_secs, jobs_per_sec}], rows: [{name, method, sweeps, batch_secs,
 //! sequential_secs}]}`.
 
-use pp_bench::apply_threads_flag;
+use pp_bench::parse_bench_args;
 use pp_serve::{run_batch, run_sequential, BatchReport, JobMethod, JobSpec, ServeConfig};
 use std::fmt::Write as _;
 
@@ -101,65 +101,39 @@ fn assert_parity(batch: &BatchReport, seq: &BatchReport) {
 }
 
 fn main() {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut quick = false;
-    let mut out_path = String::from("BENCH_serve.json");
     let mut window = 4usize;
     let mut drivers = vec![1usize];
-    let mut i = 0;
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--quick" => quick = true,
-            "--out" => {
-                i += 1;
-                match argv.get(i) {
-                    Some(p) => out_path = p.clone(),
-                    None => {
-                        eprintln!("error: --out expects a path");
-                        std::process::exit(2);
+    let args = parse_bench_args(
+        "bench_serve",
+        "BENCH_serve.json",
+        " [--window J] [--drivers D1,D2,...]",
+        |flag, value| {
+            match flag {
+                "--window" => {
+                    window = match value.and_then(|v| v.parse().ok()) {
+                        Some(w) if w > 0 => w,
+                        _ => return Err("--window expects a positive integer".into()),
                     }
                 }
-            }
-            "--window" => {
-                i += 1;
-                window = match argv.get(i).and_then(|v| v.parse().ok()) {
-                    Some(w) if w > 0 => w,
-                    _ => {
-                        eprintln!("error: --window expects a positive integer");
-                        std::process::exit(2);
+                "--drivers" => {
+                    let parsed: Option<Vec<usize>> =
+                        value.and_then(|v| v.split(',').map(|d| d.parse().ok()).collect());
+                    drivers = match parsed {
+                        Some(d) if !d.is_empty() && d.iter().all(|&n| n > 0) => d,
+                        _ => {
+                            return Err(
+                                "--drivers expects a comma-separated list of positive integers"
+                                    .into(),
+                            )
+                        }
                     }
-                };
+                }
+                _ => return Ok(false),
             }
-            "--drivers" => {
-                i += 1;
-                let parsed: Option<Vec<usize>> = argv
-                    .get(i)
-                    .map(|v| v.split(',').map(|d| d.parse().ok()).collect())
-                    .unwrap_or(None);
-                drivers = match parsed {
-                    Some(d) if !d.is_empty() && d.iter().all(|&n| n > 0) => d,
-                    _ => {
-                        eprintln!(
-                            "error: --drivers expects a comma-separated list of positive integers"
-                        );
-                        std::process::exit(2);
-                    }
-                };
-            }
-            // Consumed by apply_threads_flag below.
-            "--threads" => i += 1,
-            other => {
-                eprintln!(
-                    "error: unknown flag {other} \
-                     (bench_serve [--quick] [--out PATH] [--threads T] [--window J] \
-                     [--drivers D1,D2,...])"
-                );
-                std::process::exit(2);
-            }
-        }
-        i += 1;
-    }
-    let threads = apply_threads_flag();
+            Ok(true)
+        },
+    );
+    let (quick, out_path, threads) = (args.quick, args.out, args.threads);
     let specs = jobs(quick);
 
     println!(

@@ -38,7 +38,7 @@
 //! speedup_vs_dt, bitwise}` comparing the sparse ALS drivers (dt = direct
 //! CSF, pp/msdt = semi-sparse chain) on one ≤1%-density tensor.
 
-use pp_bench::apply_threads_flag;
+use pp_bench::parse_bench_args;
 use pp_core::{AlsConfig, AlsSession, SessionKind, SweepKind};
 use pp_datagen::powerlaw_sparse;
 use pp_dtree::TreePolicy;
@@ -298,56 +298,29 @@ fn method_comparison(methods: &[&'static str], quick: bool) -> Vec<MethodRow> {
 }
 
 fn main() {
-    let mut quick = false;
-    let mut out_path = String::from("BENCH_sparse.json");
     let mut methods: Vec<&'static str> = vec!["dt", "pp", "msdt"];
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--quick" => quick = true,
-            "--out" => {
-                i += 1;
-                match args.get(i) {
-                    Some(p) => out_path = p.clone(),
-                    None => {
-                        eprintln!("error: --out expects a path");
-                        std::process::exit(2);
-                    }
-                }
+    let args = parse_bench_args(
+        "bench_sparse",
+        "BENCH_sparse.json",
+        " [--method dt,pp,msdt]",
+        |flag, value| {
+            if flag != "--method" {
+                return Ok(false);
             }
-            "--method" => {
-                i += 1;
-                let Some(list) = args.get(i) else {
-                    eprintln!("error: --method expects a comma-separated list (dt,pp,msdt)");
-                    std::process::exit(2);
-                };
-                methods = list
-                    .split(',')
-                    .map(|m| match m {
-                        "dt" => "dt",
-                        "pp" => "pp",
-                        "msdt" => "msdt",
-                        other => {
-                            eprintln!("error: unknown method '{other}' (dt|pp|msdt)");
-                            std::process::exit(2);
-                        }
-                    })
-                    .collect();
-            }
-            // Consumed by apply_threads_flag below.
-            "--threads" => i += 1,
-            other => {
-                eprintln!(
-                    "error: unknown flag {other} (bench_sparse [--quick] [--out PATH] \
-                     [--threads T] [--method dt,pp,msdt])"
-                );
-                std::process::exit(2);
-            }
-        }
-        i += 1;
-    }
-    let threads = apply_threads_flag();
+            let list = value.ok_or("--method expects a comma-separated list (dt,pp,msdt)")?;
+            methods = list
+                .split(',')
+                .map(|m| match m {
+                    "dt" => Ok("dt"),
+                    "pp" => Ok("pp"),
+                    "msdt" => Ok("msdt"),
+                    other => Err(format!("unknown method '{other}' (dt|pp|msdt)")),
+                })
+                .collect::<Result<_, _>>()?;
+            Ok(true)
+        },
+    );
+    let (quick, out_path, threads) = (args.quick, args.out, args.threads);
     let (samples, budget) = if quick { (3, 0.02) } else { (5, 0.1) };
 
     println!(

@@ -39,7 +39,7 @@
 //! sweep work is bitwise-identical across arms, so the TTM-flop gap is
 //! exactly the cache-refresh work the incremental path avoids.
 
-use pp_bench::apply_threads_flag;
+use pp_bench::parse_bench_args;
 use pp_core::{AlsConfig, AlsOutput, SessionKind, StreamingSession};
 use pp_datagen::timelapse::{TimelapseConfig, TimelapseStream, TIME_MODE};
 use pp_dtree::{CacheUpdate, TreePolicy};
@@ -88,47 +88,23 @@ fn drive(
 }
 
 fn main() {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut quick = false;
-    let mut out_path = String::from("BENCH_stream.json");
     let mut method = String::from("msdt");
-    let mut i = 0;
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--quick" => quick = true,
-            "--out" => {
-                i += 1;
-                match argv.get(i) {
-                    Some(p) => out_path = p.clone(),
-                    None => {
-                        eprintln!("error: --out expects a path");
-                        std::process::exit(2);
-                    }
-                }
+    let args = parse_bench_args(
+        "bench_stream",
+        "BENCH_stream.json",
+        " [--method dt|msdt|pp]",
+        |flag, value| {
+            if flag != "--method" {
+                return Ok(false);
             }
-            "--method" => {
-                i += 1;
-                method = match argv.get(i).map(String::as_str) {
-                    Some(m @ ("dt" | "msdt" | "pp")) => m.to_string(),
-                    _ => {
-                        eprintln!("error: --method expects dt|msdt|pp");
-                        std::process::exit(2);
-                    }
-                };
-            }
-            // Consumed by apply_threads_flag below.
-            "--threads" => i += 1,
-            other => {
-                eprintln!(
-                    "error: unknown flag {other} \
-                     (bench_stream [--quick] [--out PATH] [--threads T] [--method dt|msdt|pp])"
-                );
-                std::process::exit(2);
-            }
-        }
-        i += 1;
-    }
-    let threads = apply_threads_flag();
+            method = match value {
+                Some(m @ ("dt" | "msdt" | "pp")) => m.to_string(),
+                _ => return Err("--method expects dt|msdt|pp".into()),
+            };
+            Ok(true)
+        },
+    );
+    let (quick, out_path, threads) = (args.quick, args.out, args.threads);
 
     // Full preset: a long horizon so late arrivals dwarf the slice (the
     // regime where incremental extension pays). Quick: CI smoke.

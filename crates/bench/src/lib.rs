@@ -22,12 +22,6 @@ use pp_tensor::DenseTensor;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Honor a `--no-lookahead` flag (shared by the bench binaries): when
-/// present, drivers run with `AlsConfig::lookahead` off (ablation).
-pub fn no_lookahead_flag() -> bool {
-    std::env::args().any(|a| a == "--no-lookahead")
-}
-
 /// Honor a `--threads <n>` flag (shared by every bench binary): installs
 /// the process-wide *base* pool width (the bench process is single
 /// purpose; library callers should prefer the scoped
@@ -47,6 +41,76 @@ pub fn apply_threads_flag() -> usize {
         }
     }
     rayon::current_num_threads()
+}
+
+/// The flags every `bench_*` binary shares.
+pub struct BenchArgs {
+    /// `--quick`: the smaller CI smoke preset.
+    pub quick: bool,
+    /// `--out PATH`: where the JSON record is written.
+    pub out: String,
+    /// Effective pool width after `--threads` (see [`apply_threads_flag`]).
+    pub threads: usize,
+}
+
+/// Parse a `bench_*` command line: `--quick`, `--out PATH` (default
+/// `default_out`) and `--threads T`, plus binary-specific flags handled by
+/// `extra`. `extra(flag, next)` returns `Ok(true)` when it took `flag` and
+/// its value `next`, `Ok(false)` for a flag it does not know, or an error
+/// message. Any error prints `error: ...` and exits with status 2; `usage`
+/// lists the binary-specific flags for the unknown-flag message.
+pub fn parse_bench_args(
+    bin: &str,
+    default_out: &str,
+    usage: &str,
+    extra: impl FnMut(&str, Option<&str>) -> Result<bool, String>,
+) -> BenchArgs {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let (quick, out) =
+        parse_bench_argv(&argv, bin, default_out, usage, extra).unwrap_or_else(|e| {
+            eprintln!("error: {e}");
+            std::process::exit(2);
+        });
+    BenchArgs {
+        quick,
+        out,
+        threads: apply_threads_flag(),
+    }
+}
+
+/// [`parse_bench_args`] on an explicit argument vector, returning
+/// `(quick, out)` or the error message.
+fn parse_bench_argv(
+    argv: &[String],
+    bin: &str,
+    default_out: &str,
+    usage: &str,
+    mut extra: impl FnMut(&str, Option<&str>) -> Result<bool, String>,
+) -> Result<(bool, String), String> {
+    let mut quick = false;
+    let mut out = default_out.to_string();
+    let mut i = 0;
+    while i < argv.len() {
+        match argv[i].as_str() {
+            "--quick" => quick = true,
+            "--out" => {
+                i += 1;
+                out = argv.get(i).ok_or("--out expects a path")?.clone();
+            }
+            // Validated and applied by `apply_threads_flag`.
+            "--threads" => i += 1,
+            flag => {
+                if !extra(flag, argv.get(i + 1).map(String::as_str))? {
+                    return Err(format!(
+                        "unknown flag {flag} ({bin} [--quick] [--out PATH] [--threads T]{usage})"
+                    ));
+                }
+                i += 1;
+            }
+        }
+        i += 1;
+    }
+    Ok((quick, out))
 }
 
 /// The per-sweep-time methods of Fig. 3's legend.
@@ -97,27 +161,13 @@ pub fn weak_scaling_tensor(s_local: usize, grid: &ProcGrid, seed: u64) -> DenseT
     uniform_tensor(&dims, &mut rng)
 }
 
-/// Measure mean per-sweep time for one method on one grid (Fig. 3a/b)
-/// with cross-mode lookahead on (the default).
+/// Measure mean per-sweep time for one method on one grid (Fig. 3a/b).
 pub fn measure_per_sweep(
     method: Fig3Method,
     grid_dims: &[usize],
     s_local: usize,
     rank: usize,
     sweeps: usize,
-) -> SweepMeasurement {
-    measure_per_sweep_with(method, grid_dims, s_local, rank, sweeps, true)
-}
-
-/// [`measure_per_sweep`] with an explicit lookahead setting (ablation:
-/// `--no-lookahead` rows of EXPERIMENTS.md).
-pub fn measure_per_sweep_with(
-    method: Fig3Method,
-    grid_dims: &[usize],
-    s_local: usize,
-    rank: usize,
-    sweeps: usize,
-    lookahead: bool,
 ) -> SweepMeasurement {
     let grid = ProcGrid::new(grid_dims.to_vec());
     let t = Arc::new(weak_scaling_tensor(s_local, &grid, 7));
@@ -133,8 +183,7 @@ pub fn measure_per_sweep_with(
         }
     }
     .with_max_sweeps(sweeps)
-    .with_tol(0.0)
-    .with_lookahead(lookahead);
+    .with_tol(0.0);
 
     match method {
         Fig3Method::Planc | Fig3Method::Dt | Fig3Method::Msdt => {
@@ -146,9 +195,6 @@ pub fn measure_per_sweep_with(
                 for n in 0..g2.order() {
                     let _ = st.update_mode_exact(ctx, &c2, n);
                 }
-                // The warm-up's trailing speculation must not run into
-                // the timed region.
-                st.engine.drain_lookahead();
                 st.engine.take_stats();
                 ctx.comm.barrier();
                 let t0 = Instant::now();
@@ -159,7 +205,6 @@ pub fn measure_per_sweep_with(
                 }
                 ctx.comm.barrier();
                 let secs = t0.elapsed().as_secs_f64() / c2.max_sweeps as f64;
-                st.engine.drain_lookahead(); // nothing leaks past this run
                 (
                     secs,
                     st.engine.take_stats().scaled(1.0 / c2.max_sweeps as f64),

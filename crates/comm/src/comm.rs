@@ -627,17 +627,6 @@ macro_rules! delegate {
 }
 
 impl Communicator {
-    /// Create the world communicators for `size` ranks on the default
-    /// (rendezvous) backend. Returned in rank order; each must be moved to
-    /// its own thread.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `CommWorld::new(size).build()` (add `.backend(..)` to choose a backend)"
-    )]
-    pub fn world(size: usize) -> Vec<Communicator> {
-        CommWorld::new(size).build()
-    }
-
     /// This rank's index within the group.
     #[inline]
     pub fn rank(&self) -> usize {
@@ -834,14 +823,6 @@ mod tests {
         assert_eq!(Backend::P2p.to_string(), "p2p");
         let err = "mpi".parse::<Backend>().unwrap_err();
         assert!(err.contains("rendezvous|p2p"), "got: {err}");
-    }
-
-    #[test]
-    fn deprecated_world_shim_builds_rendezvous() {
-        #[allow(deprecated)]
-        let comms = Communicator::world(2);
-        assert_eq!(comms.len(), 2);
-        assert_eq!(comms[0].backend(), Backend::Rendezvous);
     }
 
     #[test]

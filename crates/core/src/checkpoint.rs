@@ -1,7 +1,7 @@
 //! Binary session-checkpoint codec (the `PPCK` format).
 //!
-//! [`crate::session::AlsSession::park_to_disk`] snapshots a parked
-//! session's complete sweep-to-sweep state — config, factors with their
+//! [`crate::session::AlsSession::park_to_disk`] snapshots a session's
+//! complete sweep-to-sweep state — config, factors with their
 //! version counters, Gram matrices, PP regime state, the dimension-tree
 //! engine's intermediate cache, kernel stats, and the fitness trace — so
 //! [`crate::session::AlsSession::resume_from_disk`] can continue the run
@@ -25,7 +25,9 @@ use std::sync::Arc;
 pub(crate) const MAGIC: [u8; 4] = *b"PPCK";
 /// Format 2 added the representation tag to cached intermediates (dense
 /// vs semi-sparse) and the semi-sparse kernel counters to the stats block.
-pub(crate) const VERSION: u32 = 2;
+/// Format 3 dropped the speculation config flag and the three
+/// speculation counters.
+pub(crate) const VERSION: u32 = 3;
 
 /// FNV-1a 64-bit over a byte slice.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
@@ -185,9 +187,6 @@ impl Writer {
         self.u64_(s.ttm_count);
         self.u64_(s.mttv_count);
         self.u64_(s.transpose_count);
-        self.u64_(s.spec_launched);
-        self.u64_(s.spec_hits);
-        self.u64_(s.spec_wasted);
         self.u64_(s.gemm_packed_flops);
         self.u64_(s.gemm_fixed_n_calls);
         self.u64_(s.gemm_generic_calls);
@@ -422,9 +421,6 @@ impl<'a> Reader<'a> {
             ttm_count: self.u64_()?,
             mttv_count: self.u64_()?,
             transpose_count: self.u64_()?,
-            spec_launched: self.u64_()?,
-            spec_hits: self.u64_()?,
-            spec_wasted: self.u64_()?,
             gemm_packed_flops: self.u64_()?,
             gemm_fixed_n_calls: self.u64_()?,
             gemm_generic_calls: self.u64_()?,
@@ -433,6 +429,7 @@ impl<'a> Reader<'a> {
             semisparse_ttm_flops: self.u64_()?,
             semisparse_ttv_flops: self.u64_()?,
             semisparse_entries_visited: self.u64_()?,
+            ..KernelStats::default()
         })
     }
 

@@ -50,12 +50,6 @@ pub struct AlsConfig {
     /// drop order. Concurrent runs pinning *different* widths are
     /// contradictory and trip a debug assertion.
     pub threads: Option<usize>,
-    /// Cross-mode lookahead: while mode `n`'s solve/commit runs, the next
-    /// mode's first-level dimension-tree contraction is speculatively
-    /// launched on the kernel pool, keyed by factor versions so a stale
-    /// speculation is discarded rather than used. Bit-identical results
-    /// either way; on by default, off for ablation.
-    pub lookahead: bool,
 }
 
 impl AlsConfig {
@@ -81,7 +75,6 @@ impl AlsConfig {
             seed: 42,
             track_fitness: true,
             threads: None,
-            lookahead: true,
         }
     }
 
@@ -121,11 +114,6 @@ impl AlsConfig {
         self.threads = Some(n);
         self
     }
-
-    pub fn with_lookahead(mut self, on: bool) -> Self {
-        self.lookahead = on;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -141,12 +129,9 @@ mod tests {
             .with_pp_tol(0.2)
             .with_seed(7)
             .with_solve(SolveStrategy::Replicated)
-            .with_threads(3)
-            .with_lookahead(false);
+            .with_threads(3);
         assert_eq!(c.rank, 8);
         assert_eq!(c.threads, Some(3));
-        assert!(!c.lookahead);
-        assert!(AlsConfig::new(2).lookahead, "lookahead defaults on");
         assert_eq!(c.policy, TreePolicy::MultiSweep);
         assert_eq!(c.max_sweeps, 50);
         assert_eq!(c.solve, SolveStrategy::Replicated);

@@ -3,13 +3,13 @@
 //!
 //! An [`AlsSession`] owns *all* state a CP decomposition needs between
 //! sweeps — the input tensor (with MSDT layout copies), the dimension-tree
-//! engine with its intermediate cache and in-flight lookahead slot, the
-//! versioned factors, the replicated Gram matrices, the PP regime state
-//! (`A_p` reference, `dA` drifts, pair operators), and the fitness trace.
+//! engine with its intermediate cache, the versioned factors, the
+//! replicated Gram matrices, the PP regime state (`A_p` reference, `dA`
+//! drifts, pair operators), and the fitness trace.
 //! [`AlsSession::step`] advances **exactly one sweep** (an exact ALS
 //! sweep, a PP initialization, or a PP approximated sweep — the same
 //! categories as [`crate::result::SweepKind`]) and [`AlsSession::finish`]
-//! drains any pending speculation and produces the [`AlsOutput`].
+//! produces the [`AlsOutput`].
 //!
 //! Repeatedly stepping a session is **bit-identical** to the historical
 //! monolithic drivers (`cp_als`, `pp_cp_als`, `nn_cp_als`), which are now
@@ -17,11 +17,10 @@
 //! pre-session traces and `tests/session_parity.rs` checks the step-loop
 //! against arbitrary pause/resume schedules.
 //!
-//! Sessions are what make decompositions *schedulable*: a suspended
-//! session holds no pool resources after [`AlsSession::park`], so a batch
-//! scheduler (`crates/serve`) can interleave sweeps from many tenants over
-//! the one persistent worker pool with per-job fairness and failure
-//! isolation.
+//! Sessions are what make decompositions *schedulable*: a session holds no
+//! pool resources between steps, so a batch scheduler (`crates/serve`)
+//! can interleave sweeps from many tenants over the one persistent worker
+//! pool with per-job fairness and failure isolation.
 
 use crate::checkpoint::{sparse_fingerprint, tensor_fingerprint, Reader, Writer};
 use crate::config::{AlsConfig, SolveStrategy};
@@ -292,20 +291,6 @@ impl AlsSession {
         self.fs.factors()
     }
 
-    /// Whether a speculative lookahead contraction is still in flight.
-    pub fn spec_pending(&self) -> bool {
-        self.engine.spec_pending()
-    }
-
-    /// Suspend-point hygiene: settle any in-flight lookahead speculation so
-    /// a parked session occupies no pool slot while other tenants run.
-    /// Results are unaffected — a discarded speculation is recomputed
-    /// synchronously by the next step (bit-identical by construction).
-    pub fn park(&mut self) {
-        let _threads = self.cfg.thread_guard();
-        self.engine.drain_lookahead();
-    }
-
     /// Auxiliary memory this session currently holds, in f64 elements:
     /// the engine's intermediate cache plus any PP pair operators. This is
     /// the Table I cache-memory metric the batch scheduler's admission
@@ -314,27 +299,20 @@ impl AlsSession {
         self.engine.cache_memory_elems() + self.ops.as_ref().map_or(0, |o| o.memory_elems())
     }
 
-    /// Park, then write a `PPCK` checkpoint (versioned binary format with
+    /// Write a `PPCK` checkpoint (versioned binary format with
     /// an FNV-1a integrity check — see [`crate::checkpoint`]) via a
     /// temp-file rename, so a torn write cannot shadow a good checkpoint.
     /// `tag` is an opaque caller fingerprint (e.g. of the job spec)
     /// returned verbatim by [`AlsSession::resume_from_disk`].
-    pub fn park_to_disk(&mut self, path: &std::path::Path, tag: u64) -> std::io::Result<()> {
-        self.park();
+    pub fn park_to_disk(&self, path: &std::path::Path, tag: u64) -> std::io::Result<()> {
         let bytes = self.checkpoint_bytes(tag);
         let tmp = path.with_extension("ppck.tmp");
         std::fs::write(&tmp, &bytes)?;
         std::fs::rename(&tmp, path)
     }
 
-    /// Serialize the complete sweep-to-sweep state. The session must be
-    /// parked (no speculation in flight — a pool handle cannot be
-    /// serialized).
+    /// Serialize the complete sweep-to-sweep state.
     pub fn checkpoint_bytes(&self, tag: u64) -> Vec<u8> {
-        assert!(
-            !self.engine.spec_pending(),
-            "checkpoint requires a parked session"
-        );
         let mut w = Writer::new();
         w.u64_(tag);
         // Config.
@@ -353,7 +331,6 @@ impl AlsSession {
         w.u64_(self.cfg.seed);
         w.bool_(self.cfg.track_fitness);
         w.u64_(self.cfg.threads.map_or(0, |t| t as u64));
-        w.bool_(self.cfg.lookahead);
         // Kind and phase.
         w.u8_(match self.kind {
             SessionKind::Exact => 0,
@@ -501,7 +478,6 @@ impl AlsSession {
             0 => None,
             n => Some(n as usize),
         };
-        let lookahead = r.bool_()?;
         let cfg = AlsConfig {
             rank,
             tol,
@@ -512,7 +488,6 @@ impl AlsSession {
             seed,
             track_fitness,
             threads,
-            lookahead,
         };
         let kind = match r.u8_()? {
             0 => SessionKind::Exact,
@@ -699,10 +674,8 @@ impl AlsSession {
         self.finish()
     }
 
-    /// Drain speculation, seal the report, and return the output.
+    /// Seal the report and return the output.
     pub fn finish(mut self) -> AlsOutput {
-        let _threads = self.cfg.thread_guard();
-        self.engine.drain_lookahead(); // settle any final-mode speculation
         self.report.stats = self.engine.take_stats();
         self.report.final_fitness = self.report.sweeps.last().map_or(f64::NAN, |s| s.fitness);
         self.report.converged = self.converged;
@@ -754,17 +727,6 @@ impl AlsSession {
 
             let m = self.engine.mttkrp(&mut self.input, &self.fs, n);
 
-            // Cross-mode lookahead: start the next MTTKRP's first-level
-            // contraction on the pool while this mode's solve runs. The
-            // final mode of the final permitted sweep speculates for a
-            // sweep that cannot run, so skip it there.
-            let next = (n + 1) % n_modes;
-            let spec = self.cfg.lookahead
-                && !(n == n_modes - 1 && self.sweeps_done + 1 >= self.cfg.max_sweeps);
-            if spec {
-                self.engine.lookahead(&self.input, &self.fs, next, Some(n));
-            }
-
             let s0 = Instant::now();
             let a_new = match self.kind {
                 SessionKind::NonNeg => hals_update(self.fs.factor(n), &m, &gamma, 2),
@@ -776,11 +738,6 @@ impl AlsSession {
             self.grams[n] = a_new.gram();
             self.engine.stats.record(Kernel::Other, g0.elapsed(), 0);
             self.fs.update(n, a_new);
-            if spec {
-                // Post-commit pass: contractions that need the factor just
-                // updated (MSDT's fresh TTM always does) launch here.
-                self.engine.lookahead(&self.input, &self.fs, next, None);
-            }
             if n == n_modes - 1 {
                 last_gamma = Some(gamma);
                 last_m = Some(m);
@@ -949,8 +906,8 @@ mod tests {
 
     #[test]
     fn park_between_steps_is_bit_identical() {
-        // Parking cancels/settles the in-flight speculation; stepping must
-        // recontract synchronously with no numeric difference.
+        // Parking a session between every pair of steps (checkpoint, drop,
+        // resume from the bytes) must not change a single bit of the run.
         let t = noisy_rank(&[8, 6, 7], 3, 0.05, 13);
         let cfg = AlsConfig::new(3)
             .with_policy(TreePolicy::MultiSweep)
@@ -959,8 +916,8 @@ mod tests {
         let a = cp_als(&t, &cfg);
         let mut s = AlsSession::new(&t, &cfg, SessionKind::Exact);
         while let Step::Swept(_) = s.step() {
-            s.park();
-            assert!(!s.spec_pending(), "park must settle the speculation");
+            let bytes = s.checkpoint_bytes(0);
+            s = AlsSession::resume_from_bytes(&bytes, &t).unwrap().0;
         }
         let b = s.finish();
         assert_bitwise(&a, &b);
@@ -1021,7 +978,6 @@ mod tests {
             for _ in 0..cut {
                 let _ = s.step();
             }
-            s.park();
             let bytes = s.checkpoint_bytes(0xDEC0DE);
             let (mut resumed, tag) = AlsSession::resume_from_bytes(&bytes, &t).unwrap();
             assert_eq!(tag, 0xDEC0DE);
@@ -1124,7 +1080,6 @@ mod tests {
             for _ in 0..cut {
                 let _ = s.step();
             }
-            s.park();
             let bytes = s.checkpoint_bytes(0xBEEF);
             let (mut resumed, tag) = AlsSession::resume_from_bytes_sparse(&bytes, &sp).unwrap();
             assert_eq!(tag, 0xBEEF);
@@ -1135,7 +1090,6 @@ mod tests {
         }
         let mut s = AlsSession::new_sparse(&sp, &cfg, SessionKind::Exact);
         let _ = s.step();
-        s.park();
         let bytes = s.checkpoint_bytes(1);
         let resume_err = |res: Result<(AlsSession, u64), String>| match res {
             Err(e) => e,
@@ -1153,7 +1107,6 @@ mod tests {
         let dense = sp.to_dense();
         let mut d = AlsSession::new(&dense, &cfg, SessionKind::Exact);
         let _ = d.step();
-        d.park();
         let dense_bytes = d.checkpoint_bytes(2);
         let err = resume_err(AlsSession::resume_from_bytes_sparse(&dense_bytes, &sp));
         assert!(err.contains("fingerprint"), "{err}");
@@ -1220,7 +1173,7 @@ mod tests {
 
     #[test]
     fn sparse_pp_checkpoint_mid_regime_is_bit_identical() {
-        // Drain/park inside the PP regime, serialize (semi-sparse cache
+        // Checkpoint inside the PP regime (semi-sparse cache
         // entries and dense pair operators both travel), resume, finish:
         // the completed run must match the uninterrupted one bit for bit.
         let (sp, _) = pp_datagen::sparse::sparse_lowrank(&[9, 8, 7], 2, 0.2, 29);
@@ -1241,7 +1194,6 @@ mod tests {
             for _ in 0..cut {
                 let _ = s.step();
             }
-            s.park();
             let bytes = s.checkpoint_bytes(0xFACADE);
             let (mut resumed, tag) = AlsSession::resume_from_bytes_sparse(&bytes, &sp).unwrap();
             assert_eq!(tag, 0xFACADE);

@@ -61,9 +61,11 @@ impl CollinearityConfig {
                 self.order
             ));
         }
-        if !(0.0..1.0).contains(&self.lo) || !(0.0..1.0).contains(&self.hi) || self.lo > self.hi {
+        // `hi` is an open bound (draws come from `[lo, hi)`), so `hi == 1`
+        // is legal; every draw still stays below 1.
+        if !(0.0..1.0).contains(&self.lo) || !(0.0..=1.0).contains(&self.hi) || self.lo > self.hi {
             return Err(format!(
-                "collinearity config: need 0 <= lo <= hi < 1, got [{}, {})",
+                "collinearity config: need 0 <= lo <= hi <= 1 and lo < 1, got [{}, {})",
                 self.lo, self.hi
             ));
         }
@@ -84,8 +86,11 @@ pub fn collinearity_tensor(
     let mut rng = seeded(seed);
     let mut factors = Vec::with_capacity(cfg.order);
     let mut cs = Vec::with_capacity(cfg.order);
+    // Largest f64 below 1: with `hi == 1` the affine map can round a draw
+    // up to exactly 1, which the half-open interval excludes.
+    let below_one = 1.0 - f64::EPSILON / 2.0;
     for _ in 0..cfg.order {
-        let c = cfg.lo + (cfg.hi - cfg.lo) * rng.random::<f64>();
+        let c = (cfg.lo + (cfg.hi - cfg.lo) * rng.random::<f64>()).min(below_one);
         factors.push(collinear_factor(cfg.s, cfg.r, c, &mut rng));
         cs.push(c);
     }
@@ -158,6 +163,20 @@ mod tests {
         }
         .validate()
         .is_err());
-        assert!(CollinearityConfig { hi: 1.0, ..good }.validate().is_err());
+        assert!(CollinearityConfig {
+            lo: 0.8,
+            hi: 1.0,
+            ..good
+        }
+        .validate()
+        .is_ok());
+        assert!(CollinearityConfig { hi: 1.5, ..good }.validate().is_err());
+        assert!(CollinearityConfig {
+            lo: 1.0,
+            hi: 1.0,
+            ..good
+        }
+        .validate()
+        .is_err());
     }
 }

@@ -13,14 +13,13 @@ use crate::modeset::ModeSet;
 use pp_tensor::{DenseTensor, SemiSparseTensor};
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::Duration;
 
 /// The tensor data of an intermediate: representation is a *planning
 /// dimension*, not an assumption. Dense inputs produce dense
 /// intermediates; sparse inputs produce semi-sparse ones (dense along the
 /// rank, sparse in the surviving fiber structure), and every consumer —
-/// the contraction chains, MSDT superset reuse, PP operator construction,
-/// cross-mode lookahead — dispatches on this enum instead of densifying.
+/// the contraction chains, MSDT superset reuse, PP operator construction —
+/// dispatches on this enum instead of densifying.
 ///
 /// Payloads sit behind `Arc`s: intermediates are multi-MB and flow between
 /// the cache and the contraction chain on every MTTKRP, so cache hits and
@@ -106,55 +105,10 @@ impl Intermediate {
     }
 }
 
-/// What a speculative first-level contraction returns from the pool.
-pub struct SpecPayload {
-    /// The contracted intermediate (either representation, rank trailing).
-    pub payload: Payload,
-    /// Contraction wall time inside the speculative task.
-    pub ttm_time: Duration,
-    /// Flops performed.
-    pub flops: u64,
-    /// Input entries visited (semi-sparse contractions only; 0 for dense).
-    pub entries: u64,
-}
-
-/// An in-flight speculative first-level contraction (cross-mode
-/// lookahead), keyed by the factor versions it was launched against.
-///
-/// The speculation may be *consumed* only when every contracted-away
-/// factor (mode ∉ `set`) is still at the recorded version — the exact
-/// validity rule of [`Intermediate`] — otherwise it must be discarded,
-/// never silently used: bit-identical results are a hard invariant.
-/// Dropping the slot cancels (or detaches) the pool batch, so stale
-/// speculations cannot leak queue entries.
-pub struct SpecSlot {
-    /// Pool handle for the queued/running TTM.
-    pub handle: rayon::BatchHandle<SpecPayload>,
-    /// Mode set of the intermediate being produced.
-    pub set: ModeSet,
-    /// Original tensor modes of the result, in its layout order.
-    pub mode_order: Vec<usize>,
-    /// Factor versions at launch.
-    pub versions: Vec<u64>,
-}
-
-impl SpecSlot {
-    /// Consumable under `current` versions? Same rule as
-    /// [`Intermediate::valid_for`].
-    pub fn valid_for(&self, current: &[u64]) -> bool {
-        current
-            .iter()
-            .enumerate()
-            .all(|(j, &v)| self.set.contains(j) || self.versions[j] == v)
-    }
-}
-
-/// The cache: one intermediate per mode set, plus at most one in-flight
-/// speculative contraction.
+/// The cache: one intermediate per mode set.
 #[derive(Default)]
 pub struct InterCache {
     map: HashMap<ModeSet, Intermediate>,
-    spec: Option<SpecSlot>,
 }
 
 impl InterCache {
@@ -188,37 +142,6 @@ impl InterCache {
         self.map.get(&best)
     }
 
-    /// Non-evicting validity probe: is a valid entry for `set` present
-    /// under `versions`? Used by lookahead planning against *predicted*
-    /// future versions, which must not disturb entries that are still
-    /// valid at the current ones.
-    pub fn has_valid(&self, set: ModeSet, versions: &[u64]) -> bool {
-        self.map.get(&set).is_some_and(|e| e.valid_for(versions))
-    }
-
-    /// Non-evicting probe over supersets of `target` (MSDT planning).
-    pub fn has_valid_superset(&self, target: ModeSet, versions: &[u64]) -> bool {
-        self.map
-            .iter()
-            .any(|(s, e)| target.is_subset_of(*s) && e.valid_for(versions))
-    }
-
-    /// Install a speculative slot (at most one in flight), returning any
-    /// displaced previous slot for the caller to discard and account.
-    pub fn put_spec(&mut self, slot: SpecSlot) -> Option<SpecSlot> {
-        self.spec.replace(slot)
-    }
-
-    /// Take the speculative slot, if any.
-    pub fn take_spec(&mut self) -> Option<SpecSlot> {
-        self.spec.take()
-    }
-
-    /// Peek at the speculative slot.
-    pub fn spec(&self) -> Option<&SpecSlot> {
-        self.spec.as_ref()
-    }
-
     /// Insert (replacing any entry for the same set).
     pub fn insert(&mut self, inter: Intermediate) {
         self.map.insert(inter.set(), inter);
@@ -241,10 +164,9 @@ impl InterCache {
         self.map.is_empty()
     }
 
-    /// Drop everything, cancelling any in-flight speculation.
+    /// Drop everything.
     pub fn clear(&mut self) {
         self.map.clear();
-        self.spec = None;
     }
 
     /// Total f64-equivalent words held (auxiliary-memory metric of

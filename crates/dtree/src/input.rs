@@ -18,21 +18,17 @@ use pp_tensor::{DenseTensor, Matrix};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// One stored layout: a permutation of the base tensor's modes. The
-/// tensor sits behind an `Arc` so a [`ContractPlan`] can ship it to a pool
-/// worker (cross-mode lookahead) without copying gigabytes.
+/// One stored layout: a permutation of the base tensor's modes.
 struct Layout {
     /// `mode_order[k]` = which original tensor mode sits at position `k`.
     mode_order: Vec<usize>,
-    tensor: Arc<DenseTensor>,
+    tensor: DenseTensor,
 }
 
 /// A sparse input: the sorted-coordinate ingest form plus either the CSF
 /// forest the direct sparse-MTTKRP fast path runs over (`method=dt`), or
 /// per-mode semi-sparse TTM plans that let the dimension-tree engine plan
 /// first-level contractions over the sparse representation (`pp`/`msdt`).
-/// Shared by `Arc` so sessions can hand it to the engine — and contraction
-/// plans can ship it to pool workers — without copying the nonzeros.
 pub struct SparseInput {
     /// Sorted COO form (fingerprinting, norms, densify-for-oracle).
     pub coo: SparseTensor,
@@ -63,7 +59,7 @@ pub struct InputTensor {
     /// Whether to create (and keep) a permuted copy when a contraction
     /// would otherwise need an explicit transpose.
     cache_transposes: bool,
-    sparse: Option<Arc<SparseInput>>,
+    sparse: Option<SparseInput>,
 }
 
 /// Outcome of a first-level contraction.
@@ -85,73 +81,6 @@ pub struct FirstLevel {
     pub entries: u64,
 }
 
-/// Which end of a stored layout a planned first-level contraction touches.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ContractEnd {
-    /// The contracted mode is the layout's first mode (`ttm_first`).
-    First,
-    /// The contracted mode is the layout's last mode (`ttm_last`).
-    Last,
-}
-
-/// The data a [`ContractPlan`] executes over: a dense stored layout with
-/// the contracted mode extremal, or the sparse input with its precomputed
-/// per-mode semi-sparse TTM plan.
-enum PlanSource {
-    Dense {
-        tensor: Arc<DenseTensor>,
-        end: ContractEnd,
-    },
-    Sparse {
-        input: Arc<SparseInput>,
-        mode: usize,
-    },
-}
-
-/// A zero-copy plan for a first-level contraction. The data is shared by
-/// `Arc`, so the plan can outlive `&self` and execute on another thread —
-/// the speculative half of the engine's cross-mode lookahead.
-pub struct ContractPlan {
-    source: PlanSource,
-    /// Original tensor modes of the *result*, in its layout order.
-    pub mode_order: Vec<usize>,
-}
-
-impl ContractPlan {
-    /// Execute the planned contraction — the identical kernel call
-    /// [`InputTensor::contract_mode`] would issue on the same layout/plan,
-    /// so the result is bit-identical to the non-speculative path.
-    pub fn run(&self, factor: &Matrix) -> Payload {
-        match &self.source {
-            PlanSource::Dense { tensor, end } => Payload::Dense(Arc::new(match end {
-                ContractEnd::Last => ttm_last(tensor, factor),
-                ContractEnd::First => ttm_first(tensor, factor),
-            })),
-            PlanSource::Sparse { input, mode } => {
-                Payload::SemiSparse(Arc::new(csf_ttm(&input.coo, &input.plans[*mode], factor)))
-            }
-        }
-    }
-
-    /// Elements of the input (dense layout volume, or `nnz`) — for flop
-    /// accounting: flops = `2 · input_elems · R` either way.
-    pub fn input_elems(&self) -> usize {
-        match &self.source {
-            PlanSource::Dense { tensor, .. } => tensor.len(),
-            PlanSource::Sparse { input, .. } => input.coo.nnz(),
-        }
-    }
-
-    /// Input entries a semi-sparse execution visits (0 for dense plans) —
-    /// feeds the engine's semi-sparse fiber counter on speculative hits.
-    pub fn input_entries(&self) -> u64 {
-        match &self.source {
-            PlanSource::Dense { .. } => 0,
-            PlanSource::Sparse { input, .. } => input.coo.nnz() as u64,
-        }
-    }
-}
-
 impl InputTensor {
     /// Wrap a tensor with no extra copies (standard dimension tree).
     pub fn new(t: DenseTensor) -> Self {
@@ -159,7 +88,7 @@ impl InputTensor {
         InputTensor {
             layouts: vec![Layout {
                 mode_order: (0..order).collect(),
-                tensor: Arc::new(t),
+                tensor: t,
             }],
             order,
             cache_transposes: false,
@@ -177,11 +106,11 @@ impl InputTensor {
             layouts: Vec::new(),
             order,
             cache_transposes: false,
-            sparse: Some(Arc::new(SparseInput {
+            sparse: Some(SparseInput {
                 coo: sp,
                 csf: Some(csf),
                 plans: Vec::new(),
-            })),
+            }),
         }
     }
 
@@ -197,11 +126,11 @@ impl InputTensor {
             layouts: Vec::new(),
             order,
             cache_transposes: false,
-            sparse: Some(Arc::new(SparseInput {
+            sparse: Some(SparseInput {
                 coo: sp,
                 csf: None,
                 plans,
-            })),
+            }),
         }
     }
 
@@ -213,7 +142,7 @@ impl InputTensor {
 
     /// The sparse backing, when this input is sparse.
     pub fn sparse(&self) -> Option<&SparseInput> {
-        self.sparse.as_deref()
+        self.sparse.as_ref()
     }
 
     /// Whether this input is sparse-backed.
@@ -254,7 +183,7 @@ impl InputTensor {
         for (perm, tensor) in perms.into_iter().zip(tensors) {
             input.layouts.push(Layout {
                 mode_order: perm,
-                tensor: Arc::new(tensor),
+                tensor,
             });
         }
         input
@@ -309,30 +238,38 @@ impl InputTensor {
         self.layouts[0].tensor.is_empty()
     }
 
-    /// Plan contracting `mode` without mutating or copying: `Some` iff
-    /// some stored layout has `mode` extremal — chosen with the same
-    /// layout-selection order as [`InputTensor::contract_mode`], so a plan
-    /// executed speculatively reproduces the sync path bit for bit.
-    /// `None` when an explicit transpose would be needed (not worth
-    /// speculating).
-    pub fn plan_contract(&self, mode: usize) -> Option<ContractPlan> {
+    /// Contract original mode `mode` with `factor` (first-level TTM),
+    /// choosing a stored layout where `mode` is extremal if possible and
+    /// transposing (with cost accounted) otherwise. A chain-planned sparse
+    /// input contracts through its per-mode semi-sparse TTM plan.
+    pub fn contract_mode(&mut self, mode: usize, factor: &Matrix) -> FirstLevel {
         assert!(mode < self.order);
+        let r = factor.cols();
+        let total = self.len();
+        let flops = 2 * total as u64 * r as u64;
+        let direct = |payload, mode_order, ttm_time, entries| FirstLevel {
+            payload,
+            mode_order,
+            flops,
+            transpose_time: Duration::ZERO,
+            transpose_words: 0,
+            ttm_time,
+            entries,
+        };
+
         if let Some(sp) = &self.sparse {
-            if sp.plans.is_empty() {
-                // Direct-CSF input: sparse MTTKRPs bypass the dimension
-                // tree entirely, so there is no first-level TTM to plan.
-                return None;
-            }
-            // Chain-planned input: semi-sparse TTM over the plan for
-            // `mode`. The result's surviving levels keep the canonical
-            // ascending mode order (the plan's stable sort preserves it).
-            return Some(ContractPlan {
-                source: PlanSource::Sparse {
-                    input: sp.clone(),
-                    mode,
-                },
-                mode_order: (0..self.order).filter(|&m| m != mode).collect(),
-            });
+            assert!(
+                !sp.plans.is_empty(),
+                "first-level contraction on a direct-CSF sparse input (engine bug)"
+            );
+            // The result's surviving levels keep the canonical ascending
+            // mode order (the plan's stable sort preserves it).
+            let t0 = Instant::now();
+            let out = csf_ttm(&sp.coo, &sp.plans[mode], factor);
+            let ttm_time = t0.elapsed();
+            let modes = (0..self.order).filter(|&m| m != mode).collect();
+            let payload = Payload::SemiSparse(Arc::new(out));
+            return direct(payload, modes, ttm_time, sp.coo.nnz() as u64);
         }
         // 1. A layout with `mode` last?
         if let Some(l) = self
@@ -340,54 +277,19 @@ impl InputTensor {
             .iter()
             .find(|l| *l.mode_order.last().unwrap() == mode)
         {
-            return Some(ContractPlan {
-                source: PlanSource::Dense {
-                    tensor: l.tensor.clone(),
-                    end: ContractEnd::Last,
-                },
-                mode_order: l.mode_order[..self.order - 1].to_vec(),
-            });
+            let t0 = Instant::now();
+            let out = ttm_last(&l.tensor, factor);
+            let ttm_time = t0.elapsed();
+            let modes = l.mode_order[..self.order - 1].to_vec();
+            return direct(Payload::Dense(Arc::new(out)), modes, ttm_time, 0);
         }
         // 2. A layout with `mode` first?
         if let Some(l) = self.layouts.iter().find(|l| l.mode_order[0] == mode) {
-            return Some(ContractPlan {
-                source: PlanSource::Dense {
-                    tensor: l.tensor.clone(),
-                    end: ContractEnd::First,
-                },
-                mode_order: l.mode_order[1..].to_vec(),
-            });
-        }
-        None
-    }
-
-    /// Contract original mode `mode` with `factor` (first-level TTM),
-    /// choosing a stored layout where `mode` is extremal if possible and
-    /// transposing (with cost accounted) otherwise.
-    pub fn contract_mode(&mut self, mode: usize, factor: &Matrix) -> FirstLevel {
-        assert!(mode < self.order);
-        assert!(
-            self.sparse.is_none() || self.is_sparse_chained(),
-            "first-level contraction on a direct-CSF sparse input (engine bug)"
-        );
-        let r = factor.cols();
-        let total = self.len();
-        let flops = 2 * total as u64 * r as u64;
-
-        if let Some(plan) = self.plan_contract(mode) {
-            let entries = plan.input_entries();
             let t0 = Instant::now();
-            let out = plan.run(factor);
+            let out = ttm_first(&l.tensor, factor);
             let ttm_time = t0.elapsed();
-            return FirstLevel {
-                payload: out,
-                mode_order: plan.mode_order,
-                flops,
-                transpose_time: Duration::ZERO,
-                transpose_words: 0,
-                ttm_time,
-                entries,
-            };
+            let modes = l.mode_order[1..].to_vec();
+            return direct(Payload::Dense(Arc::new(out)), modes, ttm_time, 0);
         }
         // Transpose: move `mode` last in a fresh copy.
         let t0 = Instant::now();
@@ -400,7 +302,7 @@ impl InputTensor {
         }
         perm.push(pos_of(mode));
         let mode_order_new: Vec<usize> = perm.iter().map(|&p| base.mode_order[p]).collect();
-        let moved = Arc::new(permute(&base.tensor, &perm));
+        let moved = permute(&base.tensor, &perm);
         let transpose_time = t0.elapsed();
         let transpose_words = 2 * total as u64;
 
@@ -442,12 +344,12 @@ impl InputTensor {
             } else {
                 permute(slice, &layout.mode_order)
             };
-            layout.tensor = Arc::new(layout.tensor.concat_along(&permuted, pos));
+            layout.tensor = layout.tensor.concat_along(&permuted, pos);
         }
     }
 
     /// An input wrapping `slice` (canonical layout) that mirrors this
-    /// input's stored layouts exactly. [`InputTensor::plan_contract`] then
+    /// input's stored layouts exactly. [`InputTensor::contract_mode`] then
     /// selects the same layout and contraction end for every mode as on
     /// the full input — the property that makes a slice contraction the
     /// row-for-row sub-computation of the full one (packed-GEMM values are
@@ -468,7 +370,7 @@ impl InputTensor {
                 };
                 Layout {
                     mode_order: l.mode_order.clone(),
-                    tensor: Arc::new(tensor),
+                    tensor,
                 }
             })
             .collect();

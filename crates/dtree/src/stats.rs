@@ -51,16 +51,17 @@ pub struct KernelStats {
     pub ttm_count: u64,
     pub mttv_count: u64,
     pub transpose_count: u64,
-    /// Cross-mode lookahead: speculative first-level TTMs launched.
+    /// Always 0. These three counters belonged to the removed cross-mode
+    /// lookahead (speculative first-level TTMs launched, consumed, and
+    /// discarded); they stay as public fields because the benchmark
+    /// harness reads them.
     pub spec_launched: u64,
-    /// Speculations consumed in place of a synchronous TTM (hits).
+    /// Always 0; see [`KernelStats::spec_launched`].
     pub spec_hits: u64,
-    /// Speculations discarded as stale or superseded (wasted).
+    /// Always 0; see [`KernelStats::spec_launched`].
     pub spec_wasted: u64,
-    /// Flops issued through the packed GEMM engine by synchronous engine
-    /// kernel calls (sampled from the calling thread's
-    /// `pp_tensor::gemm` counters; speculative TTMs execute on pool
-    /// workers and are accounted via their payload flops instead).
+    /// Flops issued through the packed GEMM engine by engine kernel calls
+    /// (sampled from the calling thread's `pp_tensor::gemm` counters).
     pub gemm_packed_flops: u64,
     /// Packed-GEMM calls that hit a rank-specialized fixed-`n`
     /// micro-kernel (`n ∈ {8, 16, 32}`).
@@ -75,8 +76,7 @@ pub struct KernelStats {
     pub sparse_fibers_visited: u64,
     /// Useful flops issued by semi-sparse TTM contractions (`2·nnz·R` per
     /// call) — the first-level contractions of PP/MSDT on sparse inputs.
-    /// Sampled from the calling thread's `pp_tensor::semisparse` counters;
-    /// speculative TTMs are accounted via their payload like GEMM flops.
+    /// Sampled from the calling thread's `pp_tensor::semisparse` counters.
     pub semisparse_ttm_flops: u64,
     /// Useful flops issued by semi-sparse mTTV contractions (`2·E·R` per
     /// call) — the lower dimension-tree levels on sparse inputs.
@@ -134,9 +134,6 @@ impl KernelStats {
         self.ttm_count += other.ttm_count;
         self.mttv_count += other.mttv_count;
         self.transpose_count += other.transpose_count;
-        self.spec_launched += other.spec_launched;
-        self.spec_hits += other.spec_hits;
-        self.spec_wasted += other.spec_wasted;
         self.gemm_packed_flops += other.gemm_packed_flops;
         self.gemm_fixed_n_calls += other.gemm_fixed_n_calls;
         self.gemm_generic_calls += other.gemm_generic_calls;

@@ -294,7 +294,6 @@ pub struct JobSpec {
     /// different widths would contradict each other — which is numerically
     /// safe: the pool width is a pure performance knob.
     pub threads: Option<usize>,
-    pub lookahead: bool,
     /// Scheduling class (`policy=rr|priority|deadline`).
     pub policy: SchedPolicy,
     /// Weight for [`SchedPolicy::Priority`] (higher steps first).
@@ -329,7 +328,6 @@ impl JobSpec {
             pp_tol: 0.1,
             seed: 42,
             threads: None,
-            lookahead: true,
             policy: SchedPolicy::Rr,
             priority: 0,
             deadline: u64::MAX,
@@ -437,8 +435,7 @@ impl JobSpec {
             .with_max_sweeps(self.max_sweeps)
             .with_tol(self.tol)
             .with_pp_tol(self.pp_tol)
-            .with_seed(self.seed)
-            .with_lookahead(self.lookahead);
+            .with_seed(self.seed);
         if let Some(t) = self.threads {
             cfg = cfg.with_threads(t);
         }
@@ -639,7 +636,12 @@ fn apply_token(
                 other => return Err(format!("unknown update '{other}' (incremental|recompute)")),
             }
         }
-        "rank" => job.rank = parse_num(key, value)?,
+        "rank" => {
+            job.rank = parse_num(key, value)?;
+            if job.rank == 0 {
+                return Err("rank must be at least 1".into());
+            }
+        }
         "sweeps" => job.max_sweeps = parse_num(key, value)?,
         "tol" => job.tol = parse_num(key, value)?,
         "pp-tol" => job.pp_tol = parse_num(key, value)?,
@@ -655,13 +657,6 @@ fn apply_token(
         "priority" => job.priority = parse_num(key, value)?,
         "deadline" => job.deadline = parse_num(key, value)?,
         "fail-after" => job.fail_after = Some(parse_num(key, value)?),
-        "lookahead" => {
-            job.lookahead = match value {
-                "on" | "true" | "1" => true,
-                "off" | "false" | "0" => false,
-                other => return Err(format!("invalid lookahead '{other}' (on|off)")),
-            }
-        }
         other => return Err(format!("unknown key '{other}'")),
     }
     Ok(())
@@ -813,11 +808,7 @@ mod tests {
                 Some("threads=0"),
             ),
             ("job dims=7", "invalid dims", Some("dims=7")),
-            (
-                "job lookahead=maybe",
-                "invalid lookahead",
-                Some("lookahead=maybe"),
-            ),
+            ("job rank=0", "rank must be at least 1", Some("rank=0")),
             (
                 "job policy=fifo",
                 "unknown policy 'fifo'",
@@ -1092,11 +1083,9 @@ mod tests {
         job.method = JobMethod::Dt;
         job.rank = 6;
         job.threads = Some(2);
-        job.lookahead = false;
         let cfg = job.als_config();
         assert_eq!(cfg.rank, 6);
         assert_eq!(cfg.policy, TreePolicy::Standard);
         assert_eq!(cfg.threads, Some(2));
-        assert!(!cfg.lookahead);
     }
 }

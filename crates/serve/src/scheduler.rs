@@ -39,7 +39,7 @@
 //! progress.
 //!
 //! **Checkpoint/restore.** With [`ServeConfig::checkpoint_dir`] set,
-//! every swept turn parks the session and rewrites `job<idx>.ppck`
+//! every swept turn rewrites `job<idx>.ppck`
 //! ([`pp_core::AlsSession::park_to_disk`]); the file carries a fingerprint
 //! of the job spec and is removed when the job reaches a terminal status.
 //! Re-running the same manifest against the same directory resumes every
@@ -47,15 +47,6 @@
 //! ([`ServeConfig::stop_after_turns`], the `--stop-after-turns` CLI flag)
 //! parks all in-flight jobs to disk mid-batch and reports them as
 //! [`JobStatus::Parked`].
-//!
-//! **Fairness.** Between turns the outgoing job is parked
-//! ([`pp_core::AlsSession::park`]): its speculative lookahead TTM is
-//! cancelled (or joined if already claimed) so a suspended tenant holds no
-//! pool slot while others run. Parking is numerically free — a discarded
-//! speculation is recomputed synchronously by the job's next sweep. Set
-//! [`ServeConfig::park_between_steps`] to `false` to let speculation ride
-//! across turns (maximal overlap, single-tenant-biased); checkpointing
-//! implies parking, since an in-flight pool handle cannot be serialized.
 
 use crate::job::{JobSpec, SchedPolicy};
 use pp_core::checkpoint::fnv1a;
@@ -124,8 +115,6 @@ impl Drop for HookSilence {
 pub struct ServeConfig {
     /// Admission window `J`: how many jobs hold sessions at once.
     pub max_concurrent: usize,
-    /// Park each job's lookahead speculation when its turn ends.
-    pub park_between_steps: bool,
     /// Driver threads stepping tenants concurrently. 1 (the default) is
     /// the deterministic golden path; results are bit-identical either way.
     pub drivers: usize,
@@ -143,7 +132,6 @@ impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
             max_concurrent: 4,
-            park_between_steps: true,
             drivers: 1,
             cache_budget_elems: None,
             checkpoint_dir: None,
@@ -161,11 +149,6 @@ impl ServeConfig {
             max_concurrent,
             ..Default::default()
         }
-    }
-
-    pub fn with_park(mut self, park: bool) -> Self {
-        self.park_between_steps = park;
-        self
     }
 
     pub fn with_drivers(mut self, drivers: usize) -> Self {
@@ -345,14 +328,7 @@ impl Tenant {
         }
     }
 
-    fn park(&mut self) {
-        match self {
-            Tenant::Batch(s) => s.park(),
-            Tenant::Stream { session, .. } => session.park(),
-        }
-    }
-
-    fn park_to_disk(&mut self, path: &Path, tag: u64) -> std::io::Result<()> {
+    fn park_to_disk(&self, path: &Path, tag: u64) -> std::io::Result<()> {
         match self {
             Tenant::Batch(s) => s.park_to_disk(path, tag),
             Tenant::Stream { session, .. } => session.park_to_disk(path, tag),
@@ -614,7 +590,7 @@ fn drain<'g>(
         });
     }
     loop {
-        if let Some(mut job) = st.ready.pop() {
+        if let Some(job) = st.ready.pop() {
             st.running += 1;
             drop(st);
             let parked = catch_unwind(AssertUnwindSafe(|| -> Result<(), String> {
@@ -625,7 +601,6 @@ fn drain<'g>(
                         .park_to_disk(&path, tag)
                         .map_err(|e| format!("checkpoint {}: {e}", path.display()))
                 } else {
-                    job.session.park();
                     Ok(())
                 }
             }));
@@ -681,15 +656,6 @@ fn drive(sh: &Shared<'_>, driver: usize) {
         let prev_elems = job.cache_elems;
         st.running += 1;
         st.running_elems += prev_elems;
-        // Parking exists to keep one tenant's speculation from occupying
-        // workers during *other* tenants' turns — with a single admitted
-        // job there is no such tenant, and parking would only cancel a
-        // useful lookahead, so it is skipped (this also keeps the J=1
-        // `run_sequential` baseline a faithful monolithic-driver run).
-        // Checkpointing parks regardless: a pool handle cannot be
-        // serialized.
-        let others = st.ready.len() + st.running - 1 > 0;
-        let park = sh.cfg.park_between_steps && others;
         drop(st);
 
         let spec = &sh.specs[job.idx];
@@ -706,8 +672,6 @@ fn drive(sh: &Shared<'_>, driver: usize) {
                 job.session
                     .park_to_disk(&path, spec_fingerprint(spec))
                     .map_err(|e| format!("checkpoint {}: {e}", path.display()))?;
-            } else if park {
-                job.session.park();
             }
             Ok(step)
         }));
@@ -774,12 +738,6 @@ fn drive(sh: &Shared<'_>, driver: usize) {
                 sh.cv.notify_all();
             }
             Err(error) => {
-                // The failed step may have left a speculative TTM in
-                // flight (notably under `park_between_steps = false`);
-                // settle the spec slot before the session drops, or a
-                // detached speculation outlives its job's removal and
-                // keeps burning a pool worker.
-                let _ = catch_unwind(AssertUnwindSafe(|| job.session.park()));
                 if let Some(dir) = &sh.cfg.checkpoint_dir {
                     let _ = std::fs::remove_file(checkpoint_path(dir, job.idx));
                 }

@@ -8,24 +8,38 @@
 //! scenario re-executes this test binary as a child with a marker env var
 //! and asserts on the child's captured stderr.
 
+use rayon::prelude::*;
 use std::process::Command;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::time::Instant;
 
 const CHILD_ENV: &str = "PP_PANIC_QUIET_CHILD";
 
 /// Child scenario: a batch is live and a panic fires on a pool worker
-/// (via a detached submit) and on a driver (via fault injection). Nothing
-/// may reach stderr.
+/// (inside a parallel loop) and on a driver (via fault injection).
+/// Nothing may reach stderr.
 fn child_quiet() {
     let _guard = pp_serve::scheduler::quiet_hook_for_tests();
-    // Worker-side: a detached unit panics on a persistent pool worker
-    // while the batch guard is registered.
+    // Worker-side: a blocking two-unit loop at width 2. Both units meet on
+    // an atomic, so they run on two threads at once — the caller and a
+    // persistent pool worker — and the unit on the worker panics. The
+    // pool re-throws that panic here, on the calling thread.
     let _w = rayon::scoped_num_threads(2);
-    let handle = rayon::submit::<(), _>(|| panic!("worker-side panic (must be quiet)"));
-    let t0 = std::time::Instant::now();
-    while !handle.is_settled() && t0.elapsed().as_secs() < 10 {
-        std::thread::yield_now();
-    }
-    drop(handle);
+    let met = AtomicUsize::new(0);
+    let mut units = [0u8; 2];
+    let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        units.par_chunks_mut(1).for_each(|_| {
+            met.fetch_add(1, Ordering::SeqCst);
+            let t0 = Instant::now();
+            while met.load(Ordering::SeqCst) < 2 && t0.elapsed().as_secs() < 10 {
+                std::thread::yield_now();
+            }
+            if rayon::is_pool_worker() {
+                panic!("worker-side panic (must be quiet)");
+            }
+        });
+    }));
+    assert!(caught.is_err(), "no unit ran on a pool worker");
 
     // Driver-side: a real batch whose job panics mid-step.
     let mut doomed = pp_serve::JobSpec::new("doomed");

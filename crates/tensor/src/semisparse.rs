@@ -172,7 +172,7 @@ impl SemiSparseTensor {
 /// Precomputed contraction plan for one mode of a sorted-COO sparse
 /// tensor: the surviving output tuples plus a grouped permutation of the
 /// input entries, so [`csf_ttm`] executes in `O(nnz · R)` from shared
-/// references (usable inside speculative lookahead closures).
+/// references.
 pub struct TtmPlan {
     /// The contracted mode.
     mode: usize,

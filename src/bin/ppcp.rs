@@ -15,8 +15,6 @@
 //!                                           bit-identically)
 //!      [--stop-after-turns <N>]            (graceful drain: park in-flight
 //!                                           jobs after N batch-wide sweeps)
-//!      [--no-park]                         (let lookahead speculation ride
-//!                                           across tenant turns)
 //!      [--trace]                           (print the schedule trace)
 //!      [--threads <T>]
 //!
@@ -33,7 +31,7 @@
 //!      [--update <incremental|recompute>]  (incremental cache extension or
 //!                                           the full-recompute oracle;
 //!                                           bit-identical either way)
-//!      [--checkpoint <FILE>]               (park to FILE after each window;
+//!      [--checkpoint <FILE>]               (save to FILE after each window;
 //!                                           re-running resumes mid-stream —
 //!                                           corrupt or foreign checkpoints
 //!                                           are refused with exit 2)
@@ -67,10 +65,6 @@
 //!                                            thread pool per rank, scoped
 //!                                            to this run via
 //!                                            AlsConfig::threads)
-//!      --no-lookahead                       (disable the cross-mode
-//!                                            lookahead speculation;
-//!                                            ablation — results are
-//!                                            bit-identical either way)
 //!      --seed    <u64>                      (default 42)
 //!      --trace                              (print the fitness trace)
 //! ```
@@ -116,7 +110,6 @@ struct Args {
     ranks: usize,
     backend: Backend,
     threads: Option<usize>,
-    no_lookahead: bool,
     seed: u64,
     trace: bool,
     help: bool,
@@ -150,7 +143,6 @@ fn parse_args_from(argv: &[String]) -> Result<Args, String> {
         ranks: 1,
         backend: Backend::default(),
         threads: None,
-        no_lookahead: false,
         seed: 42,
         trace: false,
     };
@@ -211,11 +203,16 @@ fn parse_args_from(argv: &[String]) -> Result<Args, String> {
                     .parse()
                     .map_err(|e| format!("invalid value for {key}: {e}"))?
             }
-            "--no-lookahead" => args.no_lookahead = true,
             "--trace" => args.trace = true,
             other => return Err(format!("unknown flag {other}")),
         }
         i += 1;
+    }
+    if args.rank == 0 {
+        return Err("--rank must be at least 1".into());
+    }
+    if args.ranks == 0 {
+        return Err("--ranks must be at least 1".into());
     }
     if !DATASETS.contains(&args.dataset.as_str()) {
         return Err(format!(
@@ -263,7 +260,6 @@ struct BatchArgs {
     cache_budget_mb: Option<usize>,
     checkpoint_dir: Option<String>,
     stop_after_turns: Option<usize>,
-    park: bool,
     trace: bool,
     threads: Option<usize>,
     help: bool,
@@ -286,7 +282,6 @@ fn parse_batch_args_from(argv: &[String]) -> Result<BatchArgs, String> {
         cache_budget_mb: None,
         checkpoint_dir: None,
         stop_after_turns: None,
-        park: true,
         trace: false,
         threads: None,
         help: argv.iter().any(|a| a == "--help" || a == "-h"),
@@ -348,7 +343,6 @@ fn parse_batch_args_from(argv: &[String]) -> Result<BatchArgs, String> {
                 }
                 args.threads = Some(t);
             }
-            "--no-park" => args.park = false,
             "--trace" => args.trace = true,
             other => return Err(format!("unknown flag {other}")),
         }
@@ -385,11 +379,10 @@ fn run_batch_mode(args: &BatchArgs) -> i32 {
     // (single-driver only — concurrent drivers drop per-job pins).
     let _threads = args.threads.map(rayon::scoped_num_threads);
     println!(
-        "batch: {} jobs, window {}, drivers {}, park={}, threads={}{}{}",
+        "batch: {} jobs, window {}, drivers {}, threads={}{}{}",
         jobs.len(),
         args.jobs,
         args.drivers,
-        args.park,
         args.threads.unwrap_or_else(rayon::current_num_threads),
         args.cache_budget_mb
             .map(|mb| format!(", cache-budget {mb} MB"))
@@ -399,9 +392,7 @@ fn run_batch_mode(args: &BatchArgs) -> i32 {
             .map(|d| format!(", checkpoints in {d}"))
             .unwrap_or_default(),
     );
-    let mut cfg = parallel_pp::serve::ServeConfig::new(args.jobs)
-        .with_park(args.park)
-        .with_drivers(args.drivers);
+    let mut cfg = parallel_pp::serve::ServeConfig::new(args.jobs).with_drivers(args.drivers);
     if let Some(mb) = args.cache_budget_mb {
         // MB of f64 cache elements (8 bytes each).
         cfg = cfg.with_cache_budget_elems(mb * 1024 * 1024 / 8);
@@ -920,7 +911,6 @@ fn run_sparse(args: &Args) {
         .with_tol(args.tol)
         .with_pp_tol(args.pp_tol)
         .with_seed(args.seed)
-        .with_lookahead(!args.no_lookahead)
         .with_policy(match args.method.as_str() {
             "dt" => TreePolicy::Standard,
             _ => TreePolicy::MultiSweep,
@@ -1028,8 +1018,8 @@ fn main() {
         if bargs.help {
             println!(
                 "ppcp batch --manifest <path> [--jobs J] [--drivers N] [--cache-budget-mb MB]\n\
-                 \x20          [--checkpoint-dir DIR] [--stop-after-turns N] [--no-park]\n\
-                 \x20          [--trace] [--threads T]\n\
+                 \x20          [--checkpoint-dir DIR] [--stop-after-turns N] [--trace]\n\
+                 \x20          [--threads T]\n\
                  see the pp-serve::job module docs for the manifest format"
             );
             return;
@@ -1076,7 +1066,7 @@ fn main() {
     if args.help {
         println!(
             "see module docs: ppcp [--version] --dataset <name> --method <dt|msdt|pp|nncp> ...\n\
-             \x20                 ppcp batch --manifest <path> [--jobs J] [--no-park] [--trace]"
+             \x20                 ppcp batch --manifest <path> [--jobs J] [--trace]"
         );
         return;
     }
@@ -1093,7 +1083,7 @@ fn main() {
         make_tensor(&args)
     };
     println!(
-        "dataset {} → tensor {} ({} elements), method {}, R={}, P={}, threads={}, lookahead={}",
+        "dataset {} → tensor {} ({} elements), method {}, R={}, P={}, threads={}",
         args.dataset,
         t.shape(),
         t.len(),
@@ -1101,7 +1091,6 @@ fn main() {
         args.rank,
         args.ranks,
         args.threads.unwrap_or_else(rayon::current_num_threads),
-        !args.no_lookahead,
     );
 
     let mut cfg = AlsConfig::new(args.rank)
@@ -1109,7 +1098,6 @@ fn main() {
         .with_tol(args.tol)
         .with_pp_tol(args.pp_tol)
         .with_seed(args.seed)
-        .with_lookahead(!args.no_lookahead)
         .with_policy(match args.method.as_str() {
             "dt" => TreePolicy::Standard,
             _ => TreePolicy::MultiSweep,
@@ -1162,14 +1150,8 @@ fn main() {
             " (sweep limit)"
         },
     );
-    if !args.no_lookahead {
-        println!(
-            "lookahead: {} speculative TTMs launched, {} hit, {} wasted",
-            report.stats.spec_launched, report.stats.spec_hits, report.stats.spec_wasted,
-        );
-    }
     println!(
-        "packed GEMM (sync engine TTMs): {:.2} Gflop, {} fixed-n / {} generic calls",
+        "packed GEMM (engine TTMs): {:.2} Gflop, {} fixed-n / {} generic calls",
         report.stats.gemm_packed_flops as f64 / 1e9,
         report.stats.gemm_fixed_n_calls,
         report.stats.gemm_generic_calls,
@@ -1200,21 +1182,18 @@ mod tests {
         let a = parse_batch_args_from(&argv(&["--manifest", "jobs.txt"])).unwrap();
         assert_eq!(a.manifest, "jobs.txt");
         assert_eq!(a.jobs, 4, "default window");
-        assert!(a.park);
         assert!(!a.trace);
         let a = parse_batch_args_from(&argv(&[
             "--manifest",
             "m.txt",
             "--jobs",
             "2",
-            "--no-park",
             "--trace",
             "--threads",
             "3",
         ]))
         .unwrap();
         assert_eq!(a.jobs, 2);
-        assert!(!a.park);
         assert!(a.trace);
         assert_eq!(a.threads, Some(3));
     }
@@ -1436,13 +1415,6 @@ mod tests {
         assert_eq!(a.method, "msdt");
         assert_eq!(a.rank, 16);
         assert_eq!(a.threads, None);
-        assert!(!a.no_lookahead, "lookahead is on by default");
-    }
-
-    #[test]
-    fn no_lookahead_flag_parses() {
-        let a = parse_args_from(&argv(&["--no-lookahead"])).unwrap();
-        assert!(a.no_lookahead);
     }
 
     #[test]
@@ -1482,7 +1454,6 @@ mod tests {
             "p2p",
             "--threads",
             "8",
-            "--no-lookahead",
             "--seed",
             "7",
             "--trace",
@@ -1494,7 +1465,6 @@ mod tests {
         assert_eq!(a.ranks, 4);
         assert_eq!(a.backend, Backend::P2p);
         assert_eq!(a.threads, Some(8));
-        assert!(a.no_lookahead);
         assert!(a.trace);
     }
 
@@ -1612,14 +1582,17 @@ mod tests {
 
     #[test]
     fn bad_numbers_and_missing_values_are_rejected() {
-        assert!(parse_args_from(&argv(&["--rank", "abc"]))
-            .unwrap_err()
-            .contains("invalid value for --rank"));
-        assert!(parse_args_from(&argv(&["--seed"]))
-            .unwrap_err()
-            .contains("missing value for --seed"));
-        assert!(parse_args_from(&argv(&["--threads", "0"]))
-            .unwrap_err()
-            .contains("--threads must be at least 1"));
+        // Exit-2 paths: each must be an argument error, never a panic
+        // inside a kernel or a run with a degenerate configuration.
+        for (flags, needle) in [
+            (vec!["--rank", "abc"], "invalid value for --rank"),
+            (vec!["--seed"], "missing value for --seed"),
+            (vec!["--threads", "0"], "--threads must be at least 1"),
+            (vec!["--rank", "0"], "--rank must be at least 1"),
+            (vec!["--ranks", "0"], "--ranks must be at least 1"),
+        ] {
+            let err = parse_args_from(&argv(&flags)).unwrap_err();
+            assert!(err.contains(needle), "{flags:?}: {err}");
+        }
     }
 }

@@ -6,7 +6,7 @@
 //! * streamed traces are bit-identical under a 1-thread and a 4-thread
 //!   pool (the threshold-crossing slice sizes actually exercise the
 //!   pooled kernels);
-//! * a session parked to a `PPCK` checkpoint **mid-window, mid-stream**
+//! * a session saved to a `PPCK` checkpoint **mid-window, mid-stream**
 //!   and resumed from disk replays the remaining arrivals bit-identically
 //!   to an uninterrupted run.
 
@@ -112,7 +112,7 @@ fn checkpoint_mid_stream_resumes_bit_identically() {
     let spa = 3;
     let full = drive(&feed, &cfg, SessionKind::Pp, spa, CacheUpdate::Incremental);
 
-    // Interrupted twin: park to disk mid-window after the first arrival,
+    // Interrupted twin: checkpoint to disk mid-window after the first arrival,
     // drop everything, resume from the file, replay the rest.
     let path = std::env::temp_dir().join(format!("pp-stream-parity-{}.ppck", std::process::id()));
     let tag = 0xfeed_beef;
